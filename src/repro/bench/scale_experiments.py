@@ -14,7 +14,9 @@ Two engine configurations run the identical scenario:
   the trace.
 - ``legacy`` — the pre-incremental engine, reconstructed via the
   compatibility switches: ``SimulatedGPU(incremental=False)`` (full
-  hierarchical recompute on every membership change),
+  hierarchical recompute on every membership change, over the changed
+  MIG instance's allocation domain — both engines share the
+  per-instance pools),
   ``Environment(pooling=False)`` (a fresh Timeout per event), and the
   retaining client/server (every request and latency kept in lists).
 

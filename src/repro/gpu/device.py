@@ -36,6 +36,10 @@ compute-bound kernel only demands the bandwidth needed to keep memory off
 its critical path, so leftover bandwidth flows to memory-bound kernels —
 this work-conserving behaviour is exactly why MPS outperforms MIG in the
 paper's 3- and 4-way experiments.
+
+Allocation domains: a group isolated in SMs and bandwidth (a MIG
+instance) has its own fluid pool and allocator state, so its kernels
+never touch another instance's rates; all other groups share one pool.
 """
 
 from __future__ import annotations
@@ -101,6 +105,9 @@ class ShareGroup:
     _resident: FluidTask | None = None
     _serving_cid: Optional[int] = None  # client whose quantum is active
     _last_cid: Optional[int] = None
+    #: Allocation domain, assigned by the device when the group attaches.
+    _domain: "Optional[_AllocDomain]" = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.discipline not in ("spatial", "temporal"):
@@ -299,6 +306,14 @@ class _GroupAllocState:
 class SimulatedGPU:
     """One simulated GPU device.
 
+    Kernels live in *allocation domains*, each a :class:`FluidPool` with
+    its own allocator state: one per hardware-isolated group (a MIG
+    instance) and one shared domain for every other group.  A kernel
+    admit or finish only drains, re-rates and reschedules its own
+    domain.  Use :attr:`resident_tasks`, :attr:`resident_count`,
+    :meth:`cancel` and :meth:`poke` for device-wide residency; ``pool``
+    is the shared domain's pool alone.
+
     Parameters
     ----------
     incremental:
@@ -319,9 +334,28 @@ class SimulatedGPU:
         self.name = name
         self.memory = MemoryPool(spec.memory_bytes, name=f"{name}-hbm")
         self.incremental = incremental
-        self.pool = FluidPool(
-            env, self._allocate, name=f"{name}-pool",
-            on_change=self._on_membership if incremental else None)
+        if cross_check is None:
+            cross_check = os.environ.get("REPRO_ALLOC_CHECK", "") not in ("", "0")
+        self.cross_check = cross_check
+        self.kernels_completed = 0
+        #: Allocator invocations (every admit/complete/poke that changed
+        #: a domain's resident set or external capacity).
+        self.alloc_calls = 0
+        #: Full per-group demand recomputations (dirty groups).
+        self.alloc_group_recomputes = 0
+        #: Groups served entirely from cached state.
+        self.alloc_group_reuses = 0
+        #: Single-resident-kernel fast-path hits.
+        self.alloc_fast_path = 0
+        self._shared = _AllocDomain(self, f"{name}-pool")
+        #: Live domains, shared first, then isolated groups in
+        #: ``add_group`` order.
+        self._domains: list[_AllocDomain] = [self._shared]
+        #: The shared domain's pool (not the device's whole residency).
+        self.pool = self._shared.pool
+        # Utilisation integrals of removed isolated domains.
+        self._retired_sm = KahanSum()
+        self._retired_bw = KahanSum()
         self.groups: list[ShareGroup] = []
         #: Device-wide default group (used by time-sharing and MPS).
         self.default_group = ShareGroup(
@@ -332,20 +366,167 @@ class SimulatedGPU:
             memory=self.memory,
             discipline="temporal",  # NVIDIA default: time-sliced contexts
         )
+        self.default_group._domain = self._shared
         self.groups.append(self.default_group)
+        env.gpus.append(self)
+
+    @property
+    def sm_seconds(self) -> float:
+        """Integral of allocated SMs over time, summed over domains."""
+        total = self._retired_sm.value
+        for d in self._domains:
+            total += d.sm_seconds.value
+        return total
+
+    @property
+    def bw_byte_seconds(self) -> float:
+        """Integral of allocated bandwidth over time, summed over domains."""
+        total = self._retired_bw.value
+        for d in self._domains:
+            total += d.bw_byte_seconds.value
+        return total
+
+    # -- client factories ---------------------------------------------------
+    def timeshare_client(self, name: str) -> GpuClient:
+        """A client under the default time-sliced context scheduling."""
+        if self.default_group.discipline != "temporal":
+            raise RuntimeError(
+                f"{self.name}: default group is not time-sharing "
+                "(an MPS daemon owns it); use the daemon to create clients"
+            )
+        return GpuClient(self, self.default_group, name)
+
+    def add_group(self, group: ShareGroup) -> ShareGroup:
+        if group.bw_cap is not None and group.sm_policy == "cap":
+            # Isolated in SMs *and* bandwidth (a MIG instance): no other
+            # group's kernels can move this group's rates, so it gets an
+            # allocation domain of its own.  Isolated domains never see
+            # each other, so their caps must fit the device: no
+            # device-level waterfill is left to arbitrate between them.
+            caps = group.bw_cap + sum(g.bw_cap for g in self.groups
+                                      if g._domain is not self._shared)
+            if caps - self.spec.bandwidth > self.spec.bandwidth * 1e-12:
+                raise ValueError(
+                    f"{self.name}: isolated bandwidth caps sum to {caps:g} "
+                    f"B/s, above the device's {self.spec.bandwidth:g}"
+                )
+            group._domain = _AllocDomain(self,
+                                         f"{self.name}-{group.name}-pool")
+            self._domains.append(group._domain)
+        else:
+            group._domain = self._shared
+        self.groups.append(group)
+        group._domain.pool.poke()
+        return group
+
+    def remove_group(self, group: ShareGroup) -> None:
+        if group.clients:
+            raise RuntimeError(
+                f"cannot remove group {group.name!r}: {len(group.clients)} "
+                "clients still attached"
+            )
+        domain = group._domain
+        if domain is not self._shared:
+            # A time-sliced instance's queued kernels would start later
+            # in a pool that is no longer one of the device's domains.
+            # (Its running kernel is admitted the moment it is popped,
+            # so the pool already counts it.)
+            queued = sum(map(len, group._queues.values())) \
+                if group._queues else 0
+            if len(domain.pool) or queued:
+                raise RuntimeError(
+                    f"cannot remove group {group.name!r}: "
+                    f"{len(domain.pool)} kernels still resident, "
+                    f"{queued} queued"
+                )
+        self.groups.remove(group)
+        if domain is self._shared:
+            domain.pool.poke()
+            return
+        domain._close()
+        self._retired_sm.add(domain.sm_seconds.value)
+        self._retired_bw.add(domain.bw_byte_seconds.value)
+        self._domains.remove(domain)
+
+    # -- residency ------------------------------------------------------------
+    @property
+    def resident_tasks(self) -> tuple[FluidTask, ...]:
+        """Every resident kernel: domain by domain, each in admission order."""
+        return tuple(t for d in self._domains for t in d.pool.tasks)
+
+    @property
+    def resident_count(self) -> int:
+        """Number of resident kernels over every domain."""
+        return sum(len(d.pool) for d in self._domains)
+
+    def cancel(self, task: FluidTask) -> float:
+        """Evict a resident kernel; returns its remaining work."""
+        return task.meta["client"].group._domain.pool.cancel(task)
+
+    def poke(self, group: Optional[ShareGroup] = None) -> None:
+        """Reallocate after an external capacity change.
+
+        With ``group``, only that group's domain is reallocated — an
+        isolated instance's change cannot move anyone else's rates.
+        """
+        if group is not None:
+            group._domain.pool.poke()
+            return
+        for d in self._domains:
+            d.pool.poke()
+
+    # -- kernel path ----------------------------------------------------------
+    def submit(self, client: GpuClient, kernel: Kernel) -> Event:
+        task = FluidTask(self.env, work=1.0,
+                         meta={"client": client, "kernel": kernel})
+        task.done.callbacks.append(client.group._domain._on_complete)
+        client.group.submit(task)
+        return task.done
+
+    def _admit(self, task: FluidTask) -> None:
+        task.meta["client"].group._domain.pool.add(task)
+
+    # -- utilization ------------------------------------------------------------
+    def _integrate(self) -> None:
+        for d in self._domains:
+            d._integrate()
+
+    def sm_utilization(self, since: float = 0.0) -> float:
+        """Mean SM utilization in [0,1] from ``since`` until now."""
+        self._integrate()
+        horizon = self.env.now - since
+        if horizon <= 0:
+            return 0.0
+        return self.sm_seconds / (self.spec.sms * horizon)
+
+
+class _AllocDomain:
+    """One allocation domain: a fluid pool plus its allocator state.
+
+    Holds the incremental allocator's residency indexes and caches and
+    the domain's utilisation integral; the allocation code below is the
+    device's one allocator, run over this domain's tasks only.
+    """
+
+    def __init__(self, device: SimulatedGPU, name: str):
+        env = self.env = device.env
+        self.device = device
+        self.spec = device.spec
+        self.name = name
+        self.incremental = device.incremental
+        self.cross_check = device.cross_check
+        self.pool = FluidPool(
+            env, self._allocate, name=name,
+            on_change=self._on_membership if self.incremental else None)
         # Utilization accounting (integrals of current allocations).
         # Compensated sums: at millions of kernel events the naive float
         # accumulation drifts enough to fail conservation checks.
         self._cur_sm_alloc = 0.0
         self._cur_bw_alloc = 0.0
         self._integral_t0 = env.now
-        self._sm_seconds = KahanSum()
-        self._bw_byte_seconds = KahanSum()
-        self.kernels_completed = 0
-        # Incremental-allocator state and diagnostics.
-        if cross_check is None:
-            cross_check = os.environ.get("REPRO_ALLOC_CHECK", "") not in ("", "0")
-        self.cross_check = cross_check
+        self.sm_seconds = KahanSum()
+        self.bw_byte_seconds = KahanSum()
+        # Incremental-allocator state.
         self._galloc: dict[int, _GroupAllocState] = {}
         # Residency indexes maintained by the pool's membership hook
         # (incremental mode only): resident tasks per group in admission
@@ -387,87 +568,27 @@ class SimulatedGPU:
         # group's share equals its unchanged demand, so the rates pass
         # can visit stale groups only.
         self._was_contended = True
-        #: Allocator invocations (every admit/complete/poke that changed
-        #: the resident set or external capacity).
-        self.alloc_calls = 0
-        #: Full per-group demand recomputations (dirty groups).
-        self.alloc_group_recomputes = 0
-        #: Groups served entirely from cached state.
-        self.alloc_group_reuses = 0
-        #: Single-resident-kernel fast-path hits.
-        self.alloc_fast_path = 0
-        env.gpus.append(self)
-
-    @property
-    def sm_seconds(self) -> float:
-        """Integral of allocated SMs over time (compensated sum)."""
-        return self._sm_seconds.value
-
-    @property
-    def bw_byte_seconds(self) -> float:
-        """Integral of allocated bandwidth over time (compensated sum)."""
-        return self._bw_byte_seconds.value
-
-    # -- client factories ---------------------------------------------------
-    def timeshare_client(self, name: str) -> GpuClient:
-        """A client under the default time-sliced context scheduling."""
-        if self.default_group.discipline != "temporal":
-            raise RuntimeError(
-                f"{self.name}: default group is not time-sharing "
-                "(an MPS daemon owns it); use the daemon to create clients"
-            )
-        return GpuClient(self, self.default_group, name)
-
-    def add_group(self, group: ShareGroup) -> ShareGroup:
-        self.groups.append(group)
-        self.pool.poke()
-        return group
-
-    def remove_group(self, group: ShareGroup) -> None:
-        if group.clients:
-            raise RuntimeError(
-                f"cannot remove group {group.name!r}: {len(group.clients)} "
-                "clients still attached"
-            )
-        self.groups.remove(group)
-        self.pool.poke()
-
-    # -- kernel path ----------------------------------------------------------
-    def submit(self, client: GpuClient, kernel: Kernel) -> Event:
-        task = FluidTask(self.env, work=1.0,
-                         meta={"client": client, "kernel": kernel})
-        task.done.callbacks.append(self._on_complete)
-        client.group.submit(task)
-        return task.done
-
-    def _admit(self, task: FluidTask) -> None:
-        self.pool.add(task)
 
     def _on_complete(self, ev: Event) -> None:
         if ev.ok:
-            self.kernels_completed += 1
+            self.device.kernels_completed += 1
         if len(self.pool) == 0:
-            # Allocator will not be called again until new work arrives;
-            # close the utilization integral now.
-            self._integrate()
-            self._cur_sm_alloc = 0.0
-            self._cur_bw_alloc = 0.0
+            # Allocator will not be called again until new work arrives
+            # in this domain; close its utilization integral now.
+            self._close()
 
-    # -- utilization ------------------------------------------------------------
+    def _close(self) -> None:
+        """Integrate up to now, then account the (empty) domain as idle."""
+        self._integrate()
+        self._cur_sm_alloc = 0.0
+        self._cur_bw_alloc = 0.0
+
     def _integrate(self) -> None:
         dt = self.env.now - self._integral_t0
         if dt > 0:
-            self._sm_seconds.add(self._cur_sm_alloc * dt)
-            self._bw_byte_seconds.add(self._cur_bw_alloc * dt)
+            self.sm_seconds.add(self._cur_sm_alloc * dt)
+            self.bw_byte_seconds.add(self._cur_bw_alloc * dt)
         self._integral_t0 = self.env.now
-
-    def sm_utilization(self, since: float = 0.0) -> float:
-        """Mean SM utilization in [0,1] from ``since`` until now."""
-        self._integrate()
-        horizon = self.env.now - since
-        if horizon <= 0:
-            return 0.0
-        return self.sm_seconds / (self.spec.sms * horizon)
 
     # -- the allocator ------------------------------------------------------------
     def _on_membership(self, task: FluidTask, added: bool) -> None:
@@ -538,7 +659,7 @@ class SimulatedGPU:
         fast path) or the original full recompute.  Both produce
         bit-identical rates; ``cross_check`` runs both and compares.
         """
-        self.alloc_calls += 1
+        self.device.alloc_calls += 1
         self._integrate()
         if self.incremental:
             if len(tasks) == 1:
@@ -562,7 +683,7 @@ class SimulatedGPU:
         in the same order) so the result is bit-identical; the derivation
         is spelled out in docs/architecture.md.
         """
-        self.alloc_fast_path += 1
+        self.device.alloc_fast_path += 1
         spec = self.spec
         client: GpuClient = t.meta["client"]
         kernel: Kernel = t.meta["kernel"]
@@ -675,7 +796,7 @@ class SimulatedGPU:
                                            budget, g.overhead_factor,
                                            self._grep[gid] == 0)
                 states[gid] = st
-                self.alloc_group_recomputes += 1
+                self.device.alloc_group_recomputes += 1
             else:
                 reused += 1
             cap = g.effective_bw_cap
@@ -683,7 +804,7 @@ class SimulatedGPU:
                 cap = min(cap, spec.bandwidth / max(1, n_fair))
             st.gcap = cap
             st.gdemand = min(st.bw_demand_sum, cap)
-        self.alloc_group_reuses += reused
+        self.device.alloc_group_reuses += reused
         dirty.clear()
 
         if self._ostates_stale:

@@ -113,11 +113,11 @@ def kill_domain(device: SimulatedGPU, domain: FaultDomain,
                          f"{domain.device.name!r}, not {device.name!r}")
     members = {g.gid for g in domain.groups}
     killed = 0
-    for task in device.pool.tasks:
+    for task in device.resident_tasks:
         client = task.meta["client"]
         if client.group.gid not in members:
             continue
-        device.pool.cancel(task)
+        device.cancel(task)
         if cause is None:
             kernel = task.meta["kernel"]
             exc: BaseException = GpuEccError(

@@ -49,7 +49,7 @@ class GpuMonitor:
                 UtilizationSample(
                     time=env.now,
                     sm_utilization=busy / dt if dt > 0 else 0.0,
-                    resident_kernels=len(device.pool),
+                    resident_kernels=device.resident_count,
                 )
             )
             last_sm_seconds = device.sm_seconds

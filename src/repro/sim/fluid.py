@@ -508,6 +508,13 @@ class FluidPool:
                 horizon = float(np.min(self._w_view()[pos] / ra[pos]))
         if horizon is math.inf or horizon == math.inf:
             return  # every task starved; an external poke must revive them
+        now = self.env.now
+        if now + horizon <= now:
+            # The clock cannot represent the horizon (a fast task's
+            # residue just above its threshold, late in the run): a
+            # wakeup at ``now`` drains nothing and re-arms itself
+            # forever.  Wake one clock tick later, which drains it.
+            horizon = math.nextafter(now, math.inf) - now
         gen = self._gen
         # Pooled: nothing retains the wakeup once it fires (the closure
         # below captures only the generation counter).

@@ -162,7 +162,7 @@ class ServingFleet:
         if not domains:
             return "ecc: no populated fault domain"
         domain = domains[event.target % len(domains)]
-        resident = len(self.device.pool.tasks)
+        resident = self.device.resident_count
         killed = kill_domain(self.device, domain)
         self.ecc_log.append((domain.name, killed, resident))
         return (f"ecc {domain.name}: killed {killed} of "
@@ -214,11 +214,11 @@ class ServingFleet:
         group = groups[event.target % len(groups)]
         original = group.overhead_factor
         group.overhead_factor = original / event.factor
-        self.device.pool.poke()
+        self.device.poke(group)
 
         def restore() -> None:
             group.overhead_factor = original
-            self.device.pool.poke()
+            self.device.poke(group)
 
         self.env.schedule_callback(event.duration, restore)
         return (f"straggler-device {group.name}: x{event.factor:g} "
@@ -763,7 +763,7 @@ class AutoscaledServingFleet:
         if not domains:
             return "ecc: no populated fault domain"
         domain = domains[event.target % len(domains)]
-        resident = len(self.device.pool.tasks)
+        resident = self.device.resident_count
         killed = kill_domain(self.device, domain)
         return (f"ecc {domain.name}: killed {killed} of "
                 f"{resident} resident kernels")
@@ -822,11 +822,11 @@ class AutoscaledServingFleet:
         group = groups[event.target % len(groups)]
         original = group.overhead_factor
         group.overhead_factor = original / event.factor
-        self.device.pool.poke()
+        self.device.poke(group)
 
         def restore() -> None:
             group.overhead_factor = original
-            self.device.pool.poke()
+            self.device.poke(group)
 
         self.env.schedule_callback(event.duration, restore)
         return (f"straggler-device {group.name}: x{event.factor:g} "

@@ -382,9 +382,9 @@ class InferenceServer:
         """
         client = self.client
         device = client.device
-        for task in device.pool.tasks:
+        for task in device.resident_tasks:
             if task.meta["client"] is client:
-                device.pool.cancel(task)
+                device.cancel(task)
                 task.done._defused = True
                 task.done.fail(cause)
         group = client.group

@@ -195,22 +195,29 @@ def test_solo_fast_path_and_counters():
 
 
 def test_group_reuse_skips_clean_groups():
-    """With two MIG groups, churn in one must not recompute the other."""
+    """With two groups in one shared domain, churn in one must not
+    recompute the other.  vGPU VMs share the device's allocation domain
+    (MIG instances each get their own, so they cannot show reuse)."""
     env = Environment()
     gpu = SimulatedGPU(env, SPEC, incremental=True, cross_check=True)
-    # Four clients over two MIG instances (even index -> instance 0).
-    clients = _mig_setup(env, gpu, 4)
+    vms = VgpuManager(gpu, num_vms=2).vms
+    # MPS inside each VM makes its clients' kernels co-resident.
+    daemons = [MpsControlDaemon(gpu, group=vm.group) for vm in vms]
+    for daemon in daemons:
+        daemon.start()
+    # Four clients over two VMs (even index -> VM 0).
+    clients = [daemons[i % 2].client(f"c{i}") for i in range(4)]
 
     def busy(env, client, n):
         for _ in range(n):
             yield client.launch(Kernel(flops=1e10, bytes_moved=1e7,
                                        max_sms=14))
 
-    # Instance 0 churns (two clients trading short kernels) while
-    # instance 1 holds one long kernel: every churn event dirties only
-    # group 0, so group 1's cached state must be reused.  (Reuse needs
-    # at least two resident tasks throughout — a single resident kernel
-    # takes the solo path, which drops the cache on purpose.)
+    # VM 0 churns (two clients trading short kernels) while VM 1 holds
+    # one long kernel: every churn event dirties only group 0, so group
+    # 1's cached state must be reused.  (Reuse needs at least two
+    # resident tasks throughout — a single resident kernel takes the
+    # solo path, which drops the cache on purpose.)
     def long_one(env):
         yield clients[1].launch(Kernel(flops=5e12, bytes_moved=1e7,
                                        max_sms=28))

@@ -374,7 +374,7 @@ def test_fleet_ecc_confined_to_mig_instance():
     fleet = small_fleet(env, mode="mig-mps")
     requests = [fleet.submit(n_tokens=100) for _ in range(4)]
     env.run(until=env.now + 0.1)  # let kernels become resident
-    resident_before = len(fleet.device.pool.tasks)
+    resident_before = fleet.device.resident_count
     assert resident_before > 0
     fleet.apply_fault(FaultEvent(time=0.0, kind="ecc", target=0))
     _domain, killed, resident = fleet.ecc_log[0]
