@@ -311,15 +311,15 @@ class SimulatedGPU:
     instance) and one shared domain for every other group.  A kernel
     admit or finish only drains, re-rates and reschedules its own
     domain.  Use :attr:`resident_tasks`, :attr:`resident_count`,
-    :meth:`cancel` and :meth:`poke` for device-wide residency; ``pool``
-    is the shared domain's pool alone.
+    :meth:`cancel` and :meth:`poke` for device-wide residency.
 
     Parameters
     ----------
     incremental:
-        Reuse per-group allocation state across membership changes (the
-        default).  Results are bit-identical to the full recompute; set
-        ``False`` to force the original full path on every change.
+        Reuse per-group allocation state across membership changes and
+        memoise uniform domains' rates per resident count (the default).
+        Results are bit-identical to the full recompute; set ``False``
+        to force the original full path on every change.
     cross_check:
         Run *both* paths on every allocation and raise
         :class:`AllocatorMismatch` on any difference (debug mode; also
@@ -345,14 +345,14 @@ class SimulatedGPU:
         self.alloc_group_recomputes = 0
         #: Groups served entirely from cached state.
         self.alloc_group_reuses = 0
-        #: Single-resident-kernel fast-path hits.
+        #: Single-resident-kernel fast-path runs (the solo path only).
         self.alloc_fast_path = 0
+        #: Allocations served from a uniform domain's rate memo.
+        self.alloc_uniform_hits = 0
         self._shared = _AllocDomain(self, f"{name}-pool")
         #: Live domains, shared first, then isolated groups in
         #: ``add_group`` order.
         self._domains: list[_AllocDomain] = [self._shared]
-        #: The shared domain's pool (not the device's whole residency).
-        self.pool = self._shared.pool
         # Utilisation integrals of removed isolated domains.
         self._retired_sm = KahanSum()
         self._retired_bw = KahanSum()
@@ -568,6 +568,12 @@ class _AllocDomain:
         # group's share equals its unchanged demand, so the rates pass
         # can visit stale groups only.
         self._was_contended = True
+        # Uniform-domain memo (see _allocate_uniform): resident counts
+        # per rate signature, and ``(rate, SM total, bandwidth total)``
+        # per resident count, valid for ``_umemo_key`` only.
+        self._sigs: dict[tuple, int] = {}
+        self._umemo: dict[int, tuple[float, float, float]] = {}
+        self._umemo_key: Optional[tuple] = None
 
     def _on_complete(self, ev: Event) -> None:
         if ev.ok:
@@ -598,13 +604,20 @@ class _AllocDomain:
         the affected group dirty, so the allocator never has to rebuild
         the grouping from the task list.  Per-group dicts preserve
         admission order (inserts append, deletes keep order), matching
-        the full path's iteration contract.
+        the full path's iteration contract.  Also counts residents per
+        rate signature: every input of a kernel's rate other than the
+        resident count and the group's mutable attributes.
         """
         client = task.meta["client"]
+        kernel: Kernel = task.meta["kernel"]
         group: ShareGroup = client.group
         gid = group.gid
         cid = id(client)
+        sig = (gid, kernel.max_sms, kernel.flops, kernel.bytes_moved,
+               kernel.efficiency, client._sm_cap)
+        sigs = self._sigs
         if added:
+            sigs[sig] = sigs.get(sig, 0) + 1
             res = self._resident.get(gid)
             if res is None:
                 self._resident[gid] = res = {}
@@ -621,6 +634,11 @@ class _AllocDomain:
             if c == 2:
                 self._grep[gid] += 1
         else:
+            c = sigs[sig] - 1
+            if c:
+                sigs[sig] = c
+            else:
+                del sigs[sig]
             res = self._resident[gid]
             if next(iter(res)) == task.tid:
                 # The group's first resident task changes (or the group
@@ -652,29 +670,74 @@ class _AllocDomain:
                     self._n_fair -= 1
         self._dirty.add(gid)
 
-    def _allocate(self, tasks: list[FluidTask]) -> None:
+    def _allocate(self, tasks: list[FluidTask]) -> Optional[float]:
         """FluidPool callback: divide SMs and bandwidth over ``tasks``.
 
-        Dispatches to the incremental path (per-group memoisation, solo
-        fast path) or the original full recompute.  Both produce
-        bit-identical rates; ``cross_check`` runs both and compares.
+        Dispatches to the incremental path (uniform-domain memo, solo
+        fast path, per-group memoisation) or the original full
+        recompute.  All produce bit-identical rates; ``cross_check``
+        runs the full recompute too and compares.  Returns the uniform
+        rate when every task got the same one (see :class:`FluidPool`).
         """
         self.device.alloc_calls += 1
         self._integrate()
-        if self.incremental:
-            if len(tasks) == 1:
-                self._allocate_solo(tasks[0])
-            else:
-                self._allocate_incremental(tasks)
-            if self.cross_check:
-                self._verify_against_full(tasks)
-        else:
+        if not self.incremental:
             sm_alloc, bw_alloc, rates, total_sm, total_bw = \
                 self._compute_full(tasks)
             for t in tasks:
                 t.rate = rates[t.tid]
             self._cur_sm_alloc = total_sm
             self._cur_bw_alloc = total_bw
+            return None
+        rate = None
+        sigs = self._sigs
+        if len(sigs) == 1:
+            sig = next(iter(sigs))
+            if not self._grep[sig[0]]:
+                rate = self._allocate_uniform(tasks, sig)
+        if rate is None:
+            self._allocate_incremental(tasks)
+        if self.cross_check:
+            self._verify_against_full(tasks)
+        return rate
+
+    def _allocate_uniform(self, tasks: list[FluidTask],
+                          sig: tuple) -> float:
+        """Every resident shares one rate signature, no client twice.
+
+        Then every task gets the same rate, and the rate and the domain
+        totals depend only on the resident count: memoise them per
+        count.  A miss runs the solo or incremental path, so each
+        reused float *is* the value that code computed.  The memo holds
+        the current signature and group inputs only (at most one entry
+        per resident count); a change to any of them clears it.
+        """
+        gid = sig[0]
+        g = self._rgroups[gid]
+        key = (sig, g.sm_budget, g.overhead_factor, g.bw_cap, g.sm_policy,
+               self.pool._epoch)
+        memo = self._umemo
+        if key != self._umemo_key:
+            memo.clear()
+            self._umemo_key = key
+        n = len(tasks)
+        hit = memo.get(n)
+        if hit is None:
+            if n == 1:
+                self._allocate_solo(tasks[0])
+            else:
+                self._allocate_incremental(tasks)
+            rate = tasks[0].rate
+            memo[n] = (rate, self._cur_sm_alloc, self._cur_bw_alloc)
+            return rate
+        self.device.alloc_uniform_hits += 1
+        rate, self._cur_sm_alloc, self._cur_bw_alloc = hit
+        for t in tasks:
+            t.rate = rate
+        # As after the solo path: the group's cached state no longer
+        # matches its membership.
+        self._galloc.pop(gid, None)
+        return rate
 
     def _allocate_solo(self, t: FluidTask) -> None:
         """One resident kernel: the water level is trivial.

@@ -31,10 +31,11 @@ class TransferEngine:
         self.busy_seconds = 0.0
         self._last_change = env.now
 
-    def _equal_split(self, tasks: list[FluidTask]) -> None:
+    def _equal_split(self, tasks: list[FluidTask]) -> float:
         share = 1.0 / len(tasks)
         for t in tasks:
             t.rate = share
+        return share  # uniform: the pool drains with the scalar share
 
     def copy(self, exclusive_seconds: float) -> Event:
         """Start a transfer that would take ``exclusive_seconds`` alone.

@@ -26,7 +26,9 @@ membership change, so routing those writes through a descriptor would
 tax every allocator invocation — and the pool snapshots rates into the
 dense slot list right after each allocator run (rates only change
 inside allocator invocations, so the snapshot stays valid between
-membership changes).  The two
+membership changes).  An allocator that returns one uniform rate
+spares the snapshot: the hot loops then read that scalar instead
+(see :class:`FluidPool`).  The two
 per-event hot loops — draining progress in :meth:`FluidPool._advance`
 and scanning for the earliest completion in
 :meth:`FluidPool._schedule_wakeup` — are *adaptive*: below
@@ -141,7 +143,15 @@ class FluidPool:
         Called with the list of resident tasks (sorted by admission order)
         whenever membership changes; must set ``task.rate`` on each.  Rates
         must be non-negative and may be zero (a starved task simply does
-        not progress).
+        not progress).  It returns either ``None`` or a *uniform* rate
+        ``r`` meaning "every resident task runs at ``r``" (it still sets
+        each ``task.rate`` to ``r``).  With a uniform rate the pool skips
+        its per-task rate snapshot, drains every task with the scalar
+        ``r`` (the same float operation per task) and arms the next
+        wakeup at ``min(work) / r``, which is exactly the minimum of the
+        per-task quotients: correctly rounded division by a positive
+        constant is monotone.  A negative (or NaN) return raises
+        :class:`SimulationError`; a zero rate arms no wakeup.
     on_change:
         Optional ``fn(task, added)`` invoked synchronously at every
         membership mutation (admission: ``added=True``; completion or
@@ -209,6 +219,9 @@ class FluidPool:
         self._alloc_rev = -1
         self._alloc_epoch = 0
         self._wakeup_pending = False
+        # The last allocator run's uniform rate, or None when it set
+        # per-task rates only.  While it is set, _r is a stale mirror.
+        self._ur: Optional[float] = None
         # Compensated: at 1M+ tasks the naive running sum drifts enough
         # to fail the conservation checks (see repro.sim.numerics).
         self._work_drained = KahanSum()
@@ -291,13 +304,15 @@ class FluidPool:
 
     def poke(self) -> None:
         """Force a reallocation (e.g. after an external capacity change)."""
+        # Bumped even when empty: allocators may keep results across an
+        # empty spell and use the epoch to tell they are stale.
+        self._epoch += 1
         if not self._tasks:
             # Empty-to-empty: capacity changes cannot affect anyone, and
             # _advance has nothing to drain.  Skip the allocator round
             # trip entirely (a previously hot path for group churn).
             self._last_update = self.env.now
             return
-        self._epoch += 1
         self._advance()
         self._reallocate()
 
@@ -376,8 +391,29 @@ class FluidPool:
         w = self._w
         r = self._r
         th = self._th
+        ur = self._ur
         finished: Optional[list[FluidTask]] = None
-        if n < _VEC_MIN:
+        if ur is not None and n < _VEC_MIN:
+            # Uniform rate: the loop below with ``r[i] == ur`` hoisted.
+            drained_total = 0.0
+            if ur > 0:
+                step = ur * dt
+                for i in range(n):
+                    work = w[i]
+                    drained = step
+                    if drained > work:
+                        drained = work
+                    work -= drained
+                    drained_total += drained
+                    if work <= th[i]:
+                        work = 0.0
+                        if finished is None:
+                            finished = []
+                        finished.append(self._slot_task[i])
+                    w[i] = work
+            self._work_drained.add(drained_total)
+            self._w_sync = False  # list mutated behind the mirror
+        elif n < _VEC_MIN:
             drained_total = 0.0
             for i in range(n):
                 rate = r[i]
@@ -402,8 +438,11 @@ class FluidPool:
             # drained = min(r*dt, w); w -= drained: the same elementwise
             # float operations as the scalar loop above, so every
             # per-task work value is bit-identical either way.
-            drained = self._r_view() * dt
-            np.minimum(drained, wa, out=drained)
+            if ur is None:
+                drained = self._r_view() * dt
+                np.minimum(drained, wa, out=drained)
+            else:
+                drained = np.minimum(wa, ur * dt)
             wa -= drained  # in place: the work mirror stays in sync
             # Sequential left-to-right sum (np.add.reduce is pairwise,
             # which would drift from the scalar loop's running total;
@@ -450,13 +489,18 @@ class FluidPool:
                 return  # the scheduled completion wakeup is still exact
             self._schedule_wakeup()
             return
-        self.allocator(list(self._tasks.values()))
-        # Snapshot the freshly assigned rates into slot order.  Rates
-        # only change inside allocator invocations (verified contract:
-        # every writer in the tree is an allocator callback), so this
-        # one O(n) gather replaces a descriptor write per rate set.
-        self._r = [t.rate for t in self._slot_task]
-        self._r_sync = False
+        ur = self.allocator(list(self._tasks.values()))
+        if ur is None:
+            # Snapshot the freshly assigned rates into slot order.  Rates
+            # only change inside allocator invocations (verified contract:
+            # every writer in the tree is an allocator callback), so this
+            # one O(n) gather replaces a descriptor write per rate set.
+            self._r = [t.rate for t in self._slot_task]
+            self._r_sync = False
+        elif not ur >= 0.0:
+            raise SimulationError(
+                f"{self.name}: allocator returned uniform rate {ur!r}")
+        self._ur = ur
         self._alloc_rev = self._members_rev
         self._alloc_epoch = self._epoch
         self._schedule_wakeup()
@@ -471,7 +515,13 @@ class FluidPool:
         # The scan doubles as rate validation (the former separate
         # O(#tasks) pass over the allocator's output).
         horizon = math.inf
-        if n < _VEC_MIN:
+        ur = self._ur
+        if ur is not None:
+            if ur > 0.0:
+                # Dividing by a positive constant is monotone, so this
+                # is the smallest per-task quotient, bit for bit.
+                horizon = min(self._w) / ur
+        elif n < _VEC_MIN:
             w = self._w
             r = self._r
             rmin = min(r)

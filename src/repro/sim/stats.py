@@ -35,6 +35,7 @@ class SimStats:
         self.alloc_group_recomputes = 0
         self.alloc_group_reuses = 0
         self.alloc_fast_path = 0
+        self.alloc_uniform_hits = 0
         self.wall_seconds = 0.0
         self._t0 = time.perf_counter()
 
@@ -54,13 +55,15 @@ class SimStats:
         seen["events"] = env.events_processed
         for gpu in env.gpus:
             key = f"gpu{id(gpu)}"
-            last = seen.get(key, (0, 0, 0, 0))
+            last = seen.get(key, (0, 0, 0, 0, 0))
             now = (gpu.alloc_calls, gpu.alloc_group_recomputes,
-                   gpu.alloc_group_reuses, gpu.alloc_fast_path)
+                   gpu.alloc_group_reuses, gpu.alloc_fast_path,
+                   gpu.alloc_uniform_hits)
             self.alloc_calls += now[0] - last[0]
             self.alloc_group_recomputes += now[1] - last[1]
             self.alloc_group_reuses += now[2] - last[2]
             self.alloc_fast_path += now[3] - last[3]
+            self.alloc_uniform_hits += now[4] - last[4]
             seen[key] = now
         env._stats_seen = seen
 
@@ -76,7 +79,8 @@ class SimStats:
 
     def summary_line(self) -> str:
         """The one-line report printed by the CLI under ``--stats``."""
-        cached = self.alloc_group_reuses + self.alloc_fast_path
+        cached = (self.alloc_group_reuses + self.alloc_fast_path
+                  + self.alloc_uniform_hits)
         denom = self.alloc_group_recomputes + cached
         reuse = cached / denom if denom else 0.0
         return (
@@ -84,6 +88,7 @@ class SimStats:
             f"events/sec={self.events_per_sec:,.0f} "
             f"alloc_calls={self.alloc_calls:,} "
             f"group_recomputes={self.alloc_group_recomputes:,} "
+            f"uniform_hits={self.alloc_uniform_hits:,} "
             f"alloc_reuse={reuse:.0%} wall={self.wall_seconds:.2f}s"
         )
 

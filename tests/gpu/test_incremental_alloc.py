@@ -137,13 +137,13 @@ def test_cancellation_keeps_paths_identical(schedule):
             done = client.launch(kernel)
             # Spatial groups admit immediately, so the newest resident
             # task with our client is ours.
-            mine = [t for t in gpu.pool.tasks
+            mine = [t for t in gpu.resident_tasks
                     if t.meta.get("client") is client]
             task = mine[-1] if mine else None
             if cancel_after is not None and task is not None:
                 yield env.timeout(cancel_after)
-                if not done.triggered and task._pool is gpu.pool:
-                    gpu.pool.cancel(task)
+                if not done.triggered and task in gpu.resident_tasks:
+                    gpu.cancel(task)
                     events.append(("cancel", env.now))
                     return
             yield done
@@ -155,7 +155,7 @@ def test_cancellation_keeps_paths_identical(schedule):
             # forced reallocations of an unchanged membership).
             for _ in range(3):
                 yield env.timeout(0.07)
-                gpu.pool.poke()
+                gpu.poke()
 
         procs = []
         for i, (c, delay, flops, nbytes, max_sms) in enumerate(launches):

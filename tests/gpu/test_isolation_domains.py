@@ -179,7 +179,8 @@ def test_public_residency_api_spans_domains():
     da = a.enable_mps().client("a").launch(kernel)
     db = b.enable_mps().client("b").launch(kernel)
     assert gpu.resident_count == 2
-    assert len(gpu.pool) == 0  # the shared domain holds nothing in MIG mode
+    # The shared domain holds nothing in MIG mode.
+    assert len(gpu._shared.pool) == 0
     (ta, tb) = gpu.resident_tasks
     assert ta.meta["client"].group is a.group
     assert gpu.cancel(ta) > 0

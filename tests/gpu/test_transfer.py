@@ -93,3 +93,14 @@ def test_node_model_loads_contend(monkeypatch):
     times = dfk.wait([load(), load()])
     # Both 4 s loads share the path: each finishes at t=8.
     assert times == pytest.approx([8.0, 8.0])
+
+
+def test_equal_split_reports_the_uniform_share():
+    """The split returns its share, so the pool drains with one scalar."""
+    env = Environment()
+    engine = TransferEngine(env)
+    a = engine.copy(5.0)
+    engine.copy(3.0)
+    assert engine.pool._ur == 0.5
+    env.run(until=a)
+    assert env.now == 8.0   # 3 s each at half speed, then 2 s alone

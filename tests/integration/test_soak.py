@@ -44,7 +44,7 @@ def test_long_serving_run_holds_state_bounded():
     env.run(until=client.done)
     wall = time.monotonic() - wall0
     assert len(server.completed) == 1000
-    assert len(gpu.pool) == 0  # nothing resident
+    assert gpu.resident_count == 0  # nothing resident
     assert len(server._queue.items) == 0
     # 0 <= utilization <= 1 after tens of thousands of reallocations.
     assert 0.0 <= gpu.sm_utilization() <= 1.0 + 1e-9

@@ -1,8 +1,11 @@
 """Unit tests for the fluid task pool."""
 
+import random
+
 import pytest
 
 from repro.sim import Environment, FluidPool, FluidTask, SimulationError
+from repro.sim.fluid import _VEC_MIN
 
 
 def equal_share_allocator(capacity):
@@ -300,3 +303,136 @@ def test_on_change_hook_sees_every_mutation():
     pool.cancel(b)                 # explicit eviction
     assert seen == [(a.tid, True), (b.tid, True),
                     (a.tid, False), (b.tid, False)]
+
+
+# -- uniform-rate allocator contract ------------------------------------------
+
+class SwitchableAllocator:
+    """Equal share of a mutable capacity, reported three ways.
+
+    ``mode`` picks what the allocator returns: ``"tasks"`` sets per-task
+    rates only (returns ``None``), ``"uniform"`` also returns the share,
+    ``"switch"`` alternates between the two on every call.
+    """
+
+    def __init__(self, capacity, mode):
+        self.capacity = capacity
+        self.mode = mode
+        self.calls = 0
+
+    def __call__(self, tasks):
+        self.calls += 1
+        share = self.capacity / len(tasks)
+        for t in tasks:
+            t.rate = share
+        if self.mode == "uniform" or (self.mode == "switch"
+                                      and self.calls % 2):
+            return share
+        return None
+
+
+def _contract_run(mode, n_tasks, burst, seed):
+    """Staggered arrivals with cancels and capacity pokes.
+
+    Returns every completion time, every cancelled task's remaining
+    work, the number of tasks left and the pool's ``work_drained``.
+    """
+    rng = random.Random(seed)
+    env = Environment()
+    alloc = SwitchableAllocator(10.0, mode)
+    pool = FluidPool(env, alloc)
+    times = {}
+    cancelled = {}
+    tasks = []
+
+    def arrivals(env):
+        for i in range(n_tasks):
+            if i % burst == 0:
+                yield env.timeout(rng.uniform(0.0, 0.3))
+            task = FluidTask(env, work=rng.uniform(0.5, 40.0))
+            task.done.callbacks.append(
+                lambda ev, i=i: times.__setitem__(i, env.now))
+            tasks.append(task)
+            pool.add(task)
+
+    def disturb(env):
+        for k in range(6):
+            yield env.timeout(rng.uniform(0.1, 2.0))
+            live = [t for t in tasks if t._pool is pool]
+            if live and k % 2 == 0:
+                victim = live[rng.randrange(len(live))]
+                cancelled[tasks.index(victim)] = pool.cancel(victim)
+            else:
+                alloc.capacity = rng.uniform(5.0, 20.0)
+                pool.poke()
+
+    env.process(arrivals(env))
+    env.process(disturb(env))
+    # Bounded: every schedule drains well before this (total work over
+    # the smallest capacity), so a broken pool fails instead of hanging.
+    env.run(until=10_000.0)
+    return times, cancelled, len(pool), pool.work_drained
+
+
+@pytest.mark.parametrize("mode", ["uniform", "switch"])
+@pytest.mark.parametrize("n_tasks,burst", [(12, 1), (150, 75)],
+                         ids=["scalar", "vector"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uniform_return_is_bit_identical(mode, n_tasks, burst, seed):
+    """Returning the uniform rate changes nothing observable.
+
+    ``(150, 75)`` keeps more than ``_VEC_MIN`` tasks resident, so the
+    vector drain and horizon paths run; ``switch`` alternates uniform
+    and per-task mode on every allocator call, so each mode starts
+    from the other's state (including the stale per-task rate mirror).
+    """
+    if burst > 1:
+        assert burst >= _VEC_MIN
+    reference = _contract_run("tasks", n_tasks, burst, seed)
+    assert _contract_run(mode, n_tasks, burst, seed) == reference
+
+
+def test_uniform_path_ignores_stale_per_task_rates():
+    """After a per-task run, a uniform return must drive the drain."""
+    env = Environment()
+    alloc = SwitchableAllocator(10.0, "tasks")
+    pool = FluidPool(env, alloc)
+    task = FluidTask(env, work=100.0)
+    pool.add(task)                 # per-task mode: 10/s
+    env.run(until=5.0)             # 50 units left
+    alloc.capacity = 25.0
+    alloc.mode = "uniform"
+    pool.poke()                    # uniform mode: 25/s
+    assert pool._ur == 25.0
+    env.run(until=task.done)
+    assert env.now == 7.0
+    assert pool.work_drained == 100.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_negative_uniform_rate_rejected(bad):
+    env = Environment()
+
+    def allocate(tasks):
+        for t in tasks:
+            t.rate = bad
+        return bad
+
+    pool = FluidPool(env, allocate)
+    with pytest.raises(SimulationError):
+        pool.add(FluidTask(env, work=1.0))
+
+
+def test_zero_uniform_rate_arms_no_wakeup():
+    env = Environment()
+    alloc = SwitchableAllocator(0.0, "uniform")
+    pool = FluidPool(env, alloc)
+    task = FluidTask(env, work=10.0)
+    pool.add(task)
+    assert env.peek() == float("inf")   # nothing scheduled
+    env.run()
+    assert not task.done.triggered and task.work == 10.0
+    alloc.capacity = 5.0
+    pool.poke()
+    env.run(until=task.done)
+    assert env.now == 2.0
