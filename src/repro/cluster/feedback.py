@@ -3,7 +3,7 @@
 Closes the loop across all three tiers.  Devices report into
 :class:`~repro.telemetry.resilience.ResilienceStats` counters; the
 fleet publishes them through
-:meth:`~repro.workloads.fleet.AutoscaledServingFleet.sensor_snapshot`
+:meth:`~repro.workloads.fleet.ServingFleet.sensor_snapshot`
 (the same guarded telemetry the :class:`~repro.workloads.autoscale.
 FleetAutoscaler` trusts for MPS resizes); this adapter turns those
 offered-count deltas into windowed arrival rates, smooths them, and —

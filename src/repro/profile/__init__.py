@@ -9,9 +9,9 @@ sim-time attribution, and the queue-depth histogram are therefore fully
 deterministic for a given (seed, config); only the wall-second columns
 vary run to run.
 
-When no profiler is attached the engine pays a single ``is None`` check
-per event batch (the fast drains skip even that), so profiling is
-zero-cost disabled — enforced by the overhead gate in the bench suite.
+When no profiler is attached the engine's one event loop pays a single
+local ``is None`` check per event, so profiling is zero-cost disabled —
+enforced by the overhead gate in the bench suite.
 
 Usage::
 

@@ -1,10 +1,11 @@
 """Event-loop profiler implementation.
 
-The engine's :meth:`Environment.step` hands every ``(when, event,
-callbacks)`` batch to :meth:`EventLoopProfiler.record` when a profiler
-is attached.  ``record`` runs the callbacks itself — same order, same
-exception semantics — so attaching a profiler cannot change a
-simulation's outcome, only observe it.
+The engine's event loop (``Environment._loop``, behind ``step``,
+``run`` and ``advance``) hands every ``(when, event, callbacks)`` batch
+to :meth:`EventLoopProfiler.record` when a profiler is attached.
+``record`` runs the callbacks itself — same order, same exception
+semantics — so attaching a profiler cannot change a simulation's
+outcome, only observe it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class EventLoopProfiler:
                callbacks: list) -> None:
         """Run ``callbacks`` for ``event``, attributing as we go.
 
-        Called by :meth:`Environment.step` in place of the plain
+        Called by the engine's event loop in place of the plain
         callback loop; identical invocation order and exception
         propagation.
         """

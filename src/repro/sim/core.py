@@ -16,6 +16,7 @@ from typing import Any, Callable, Iterable, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_INF = float("inf")
 
 __all__ = [
     "AllOf",
@@ -263,10 +264,8 @@ class Environment:
         self._tpool: list[Timeout] = []
         self._pooling = bool(pooling)
         #: Attached :class:`repro.profile.EventLoopProfiler`, or ``None``.
-        #: While ``None`` (the default) the drain loops take the inlined
-        #: fast path and :meth:`step` skips all instrumentation — the
-        #: disabled profiler costs one attribute load per run/advance
-        #: call, not per event.
+        #: :meth:`_loop` reads it once per call; while ``None`` (the
+        #: default) each event costs one local ``is None`` check.
         self._profiler = None
         if ENV_CREATED_HOOK is not None:
             ENV_CREATED_HOOK(self)
@@ -399,53 +398,35 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise SimulationError("no scheduled events")
-        when, _prio, _seq, event = _heappop(self._queue)
-        if when > self._now:
-            self._now = when
-        elif when < self._now - 1e-12:
-            raise SimulationError("event scheduled in the past")
-        callbacks, event.callbacks = event.callbacks, None
-        self.events_processed += 1
-        prof = self._profiler
-        if prof is None:
-            for cb in callbacks:
-                cb(event)
-        else:
-            prof.record(self, when, event, callbacks)
-        if not event._ok and not event._defused:
-            # An un-waited-on failure must not pass silently.
-            exc = event._value
-            raise exc
-        if event._recycle and len(self._tpool) < self._POOL_LIMIT:
-            self._tpool.append(event)
+        self._loop(queue[0][0], queue[0][3])
 
-    def _drain(self, horizon: float) -> None:
-        """Inlined :meth:`step` loop: run every event due by ``horizon``.
+    def _loop(self, horizon: float, stop: Optional[Event] = None) -> bool:
+        """The event loop: process every event due by ``horizon``.
 
-        Semantically identical to ``while queue and queue[0][0] <=
-        horizon: self.step()`` — same event order, same clock updates,
-        same ``events_processed``, same recycling — but the per-event
-        method call and attribute traffic are hoisted, and events sharing
-        a timestamp are popped as a batch (the horizon comparison and
+        Returns ``True`` right after ``stop`` is processed (the next
+        event, even at the same timestamp, stays queued), ``False`` once
+        the queue holds nothing due by ``horizon``.  Events sharing a
+        timestamp are popped as a batch: the horizon comparison and the
         clock update run once per distinct timestamp, not once per
-        event).  Only valid for pure time horizons; ``until=Event`` /
-        ``advance(stop=...)`` loops need a per-event stop check and use
-        :meth:`step`.
+        event.  An attached profiler runs each event's callbacks itself
+        (same order, same exceptions); otherwise they run inline.
         """
         queue = self._queue
         pop = _heappop
         tpool = self._tpool
         pool_limit = self._POOL_LIMIT
+        prof = self._profiler
         while queue:
             when = queue[0][0]
             if when > horizon:
-                return
+                return False
             if when > self._now:
                 self._now = when
             elif when < self._now - 1e-12:
@@ -454,41 +435,21 @@ class Environment:
                 event = pop(queue)[3]
                 callbacks, event.callbacks = event.callbacks, None
                 self.events_processed += 1
-                for cb in callbacks:
-                    cb(event)
+                if prof is None:
+                    for cb in callbacks:
+                        cb(event)
+                else:
+                    prof.record(self, when, event, callbacks)
                 if not event._ok and not event._defused:
+                    # An un-waited-on failure must not pass silently.
                     raise event._value
                 if event._recycle and len(tpool) < pool_limit:
                     tpool.append(event)
+                if event is stop:
+                    return True
                 if not queue or queue[0][0] != when:
                     break
-
-    def _drain_until_event(self, stop_holder: list) -> None:
-        """Inlined :meth:`step` loop halting once ``stop_holder`` fills.
-
-        Same per-event semantics as :meth:`step`; the stop check must
-        stay per-event (the event *after* the stop event, even at the
-        same timestamp, must not be processed early).
-        """
-        queue = self._queue
-        pop = _heappop
-        tpool = self._tpool
-        pool_limit = self._POOL_LIMIT
-        while queue and not stop_holder:
-            when = queue[0][0]
-            if when > self._now:
-                self._now = when
-            elif when < self._now - 1e-12:
-                raise SimulationError("event scheduled in the past")
-            event = pop(queue)[3]
-            callbacks, event.callbacks = event.callbacks, None
-            self.events_processed += 1
-            for cb in callbacks:
-                cb(event)
-            if not event._ok and not event._defused:
-                raise event._value
-            if event._recycle and len(tpool) < pool_limit:
-                tpool.append(event)
+        return False
 
     def advance(self, horizon: float, stop: Optional[Event] = None) -> bool:
         """Step every event due at or before ``horizon``; clock never jumps.
@@ -508,22 +469,9 @@ class Environment:
         event due by ``horizon`` has been processed.  ``RUN_LISTENER``
         is not invoked (an epoch is a fragment of a run, not a run).
         """
-        horizon = float(horizon)
-        queue, step = self._queue, self.step
-        if stop is None:
-            if self._profiler is None:
-                self._drain(horizon)
-            else:
-                while queue and queue[0][0] <= horizon:
-                    step()
-            return False
-        if stop.processed:
+        if stop is not None and stop.processed:
             return True
-        fired: list[Event] = []
-        stop.callbacks.append(fired.append)
-        while queue and queue[0][0] <= horizon and not fired:
-            step()
-        return bool(fired)
+        return self._loop(float(horizon), stop)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or event fires.
@@ -531,47 +479,22 @@ class Environment:
         Returns the value of ``until`` when it is an event.
         """
         try:
-            return self._run(until)
+            if isinstance(until, Event):
+                if not until.processed and not self._loop(_INF, until):
+                    raise SimulationError(
+                        "event queue drained before the 'until' event fired"
+                    )
+                if not until.ok:
+                    raise until.value
+                return until.value
+            horizon = _INF if until is None else float(until)
+            if horizon != _INF and horizon < self._now:
+                raise ValueError(
+                    f"until={horizon!r} is in the past (now={self._now!r})")
+            self._loop(horizon)
+            if horizon != _INF:
+                self._now = max(self._now, horizon)
+            return None
         finally:
             if RUN_LISTENER is not None:
                 RUN_LISTENER(self)
-
-    def _run(self, until: float | Event | None = None) -> Any:
-        if isinstance(until, Event):
-            stop = until
-            stop_holder: list[Any] = []
-
-            def _capture(ev: Event) -> None:
-                stop_holder.append(ev)
-
-            if stop.processed:
-                return stop.value if stop.ok else _raise(stop.value)
-            stop.callbacks.append(_capture)
-            if self._profiler is None:
-                self._drain_until_event(stop_holder)
-            else:
-                queue, step = self._queue, self.step
-                while queue and not stop_holder:
-                    step()
-            if not stop_holder:
-                raise SimulationError(
-                    "event queue drained before the 'until' event fired"
-                )
-            return stop.value if stop.ok else _raise(stop.value)
-
-        horizon = float("inf") if until is None else float(until)
-        if horizon != float("inf") and horizon < self._now:
-            raise ValueError(f"until={horizon!r} is in the past (now={self._now!r})")
-        if self._profiler is None:
-            self._drain(horizon)
-        else:
-            queue, step = self._queue, self.step
-            while queue and queue[0][0] <= horizon:
-                step()
-        if horizon != float("inf"):
-            self._now = max(self._now, horizon)
-        return None
-
-
-def _raise(exc: BaseException) -> Any:
-    raise exc

@@ -19,7 +19,7 @@ on demand" — against live streaming traffic:
    decision is eligible immediately and a hard SLO violation (window
    P95 above the SLO) shrinks the cooldown by ``slo_bypass_factor``;
 4. **act** — rolling-wave drains through
-   :meth:`~repro.workloads.fleet.AutoscaledServingFleet.resize_replica`,
+   :meth:`~repro.workloads.fleet.ServingFleet.resize_replica`,
    paying the :class:`~repro.partition.reconfig.ReconfigCost` constants
    (teardown + worker restart, plus the model reload unless the weight
    cache hits).  Replica identity survives, so breakers, hedging
@@ -34,7 +34,7 @@ Control-plane chaos hardened this loop in three places:
 
 - **sensor health** — the controller reads each function's *published*
   telemetry through
-  :meth:`~repro.workloads.fleet.AutoscaledServingFleet.sensor_snapshot`
+  :meth:`~repro.workloads.fleet.ServingFleet.sensor_snapshot`
   and cross-checks it against ground-truth termination counters.  A
   stale snapshot (``sensor_dropout``) or an implausible offered delta
   (``telemetry_corruption``) puts the tick in **degraded mode**: hold
@@ -594,13 +594,10 @@ class FleetAutoscaler:
         for group, replica in victims:
             group.generation += 1
             new_pct = desired[group.name]
-            client = fleet.daemon.client(
-                f"{group.name}-r{replica.index}g{group.generation}",
-                active_thread_percentage=new_pct)
             old_pct = group.pct_by_replica[replica.index]
             group.pct_by_replica[replica.index] = new_pct
             fleet._set_provisioned(group.name, replica.index, new_pct)
-            replica.server.client = client
+            replica.server.client = group.open_client(replica.index)
             reload_seconds = max(reload_seconds, group.model_load_seconds)
             per_group.setdefault(group.name, []).append(
                 {"replica": replica.index, "weight_cache_hit": False,

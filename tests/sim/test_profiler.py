@@ -9,8 +9,12 @@ from repro.sim import Environment, SimulationError
 from repro.sim import core as sim_core
 
 
-def _run_scenario(env):
-    """A small deterministic workload with three distinct callback sites."""
+def _schedule(env):
+    """A small deterministic workload with three distinct callback sites.
+
+    Returns the callback log and the first of two events that share
+    the last timestamp (a stop event with a same-time successor).
+    """
     order = []
 
     def site_a(ev):
@@ -23,23 +27,39 @@ def _run_scenario(env):
         env.timeout(d).callbacks.append(site_a)
     for d in (2.0, 4.5):
         env.timeout(d).callbacks.append(site_b)
-    env.schedule_batch([5.0, 5.0], callback=site_a)
+    stop, _successor = env.schedule_batch([5.0, 5.0], callback=site_a)
+    return order, stop
+
+
+def _run_scenario(env):
+    order, _stop = _schedule(env)
     env.run()
     return order
 
 
+#: Every way into the event loop, each driven over :func:`_schedule`.
+ENTRY_POINTS = {
+    "run()": lambda env, stop: env.run(),
+    "run(until=t)": lambda env, stop: env.run(until=4.0),
+    "run(until=event)": lambda env, stop: env.run(until=stop),
+    "advance(h)": lambda env, stop: env.advance(4.5),
+    "advance(h, stop)": lambda env, stop: env.advance(10.0, stop),
+    "step()": lambda env, stop: [env.step() for _ in range(5)],
+}
+
+
 def test_profiler_does_not_perturb_the_simulation():
-    plain_env = Environment()
-    plain = _run_scenario(plain_env)
-
-    prof_env = Environment()
-    prof = EventLoopProfiler()
-    prof.attach(prof_env)
-    profiled = _run_scenario(prof_env)
-
-    assert profiled == plain
-    assert prof_env.now == plain_env.now
-    assert prof_env.events_processed == plain_env.events_processed
+    for name, drive in ENTRY_POINTS.items():
+        outcomes = []
+        for profiled in (False, True):
+            env = Environment()
+            if profiled:
+                EventLoopProfiler().attach(env)
+            order, stop = _schedule(env)
+            drive(env, stop)
+            outcomes.append((order, env.now, env.events_processed))
+        plain, profiled = outcomes
+        assert profiled == plain, name
 
 
 def test_profiler_deterministic_counts():

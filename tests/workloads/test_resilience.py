@@ -6,7 +6,9 @@ from repro.gpu import A100_40GB, MpsControlDaemon, SimulatedGPU
 from repro.sim import Environment
 from repro.workloads import (
     LLAMA2_7B,
+    AutoscaledServingFleet,
     CircuitBreaker,
+    FleetFunction,
     InferenceRuntime,
     InferenceServer,
     LlamaInference,
@@ -304,9 +306,34 @@ def test_reconfig_stall_fault_steers_first_attempts():
 
 # ------------------------------------------------------------ fleet faults
 
-def small_fleet(env, mode="mig-mps", **kwargs):
+#: Both fleet constructors; every data-plane fault test runs on each.
+FLEET_KINDS = ("static", "autoscaled")
+
+
+def small_fleet(env, mode="mig-mps", kind="static", **kwargs):
+    """Four replicas: ``srv0``-``srv3``, or on the autoscaled fleet (flat
+    MPS whatever ``mode`` says) ``hot-r0, hot-r1, cold-r0, cold-r1``."""
+    if kind == "autoscaled":
+        functions = [FleetFunction(name, 2, slo_seconds=60.0,
+                                   initial_pct=25, n_tokens=4)
+                     for name in ("hot", "cold")]
+        return AutoscaledServingFleet(env, functions, **kwargs)
     return ServingFleet(env, mode=mode, n_partitions=2,
                         servers_per_partition=2, **kwargs)
+
+
+def fleet_targets(fleet):
+    """``(group, replica)`` pairs in fault-target order."""
+    return [(g, r) for g in fleet.groups.values() for r in g.replicas]
+
+
+def fleet_submit(fleet, n_tokens):
+    """Route one request through the fleet's first group."""
+    return next(iter(fleet.groups.values())).router.submit(n_tokens)
+
+
+def fleet_lost(fleet):
+    return sum(g.stats.lost for g in fleet.groups.values())
 
 
 def test_fleet_validates_mode():
@@ -315,58 +342,103 @@ def test_fleet_validates_mode():
 
 
 def test_fleet_replica_crash_and_respawn():
-    env = Environment()
-    fleet = small_fleet(env)
-    dead = fleet.replicas[1]
-    description = fleet.apply_fault(
-        FaultEvent(time=0.0, kind="replica_crash", target=1, duration=2.0))
-    assert "srv1" in description
-    env.run(until=env.now + 0.001)  # let the crash interrupt propagate
-    assert not dead.alive
-    env.run(until=env.now + 3.0)
-    assert dead.alive  # respawned
-    assert dead.incarnations == 2
-    request = fleet.submit(n_tokens=4)
-    env.run()
-    assert request.outcome == "ok"
+    for kind, label in zip(FLEET_KINDS, ("srv1", "hot-r1")):
+        env = Environment()
+        fleet = small_fleet(env, kind=kind)
+        group, dead = fleet_targets(fleet)[1]
+        description = fleet.apply_fault(
+            FaultEvent(time=0.0, kind="replica_crash", target=1,
+                       duration=2.0))
+        assert label in description
+        assert fleet.faults == {"replica_crash": 1}
+        assert group.stats.faults == {"replica_crash": 1}
+        env.run(until=env.now + 0.001)  # let the crash interrupt propagate
+        assert not dead.alive
+        env.run(until=env.now + 3.0)
+        assert dead.alive  # respawned
+        assert dead.incarnations == 2
+        request = fleet_submit(fleet, 4)
+        env.run()
+        assert request.outcome == "ok"
 
 
 def test_fleet_straggler_replica_restores():
-    env = Environment()
-    fleet = small_fleet(env)
-    fleet.apply_fault(FaultEvent(time=0.0, kind="straggler_replica",
-                                 target=0, duration=5.0, factor=4.0))
-    assert fleet.replicas[0].server.slowdown == 4.0
-    env.run(until=env.now + 6.0)
-    assert fleet.replicas[0].server.slowdown == 1.0
+    for kind, label in zip(FLEET_KINDS, ("srv0", "hot-r0")):
+        env = Environment()
+        fleet = small_fleet(env, kind=kind)
+        _group, replica = fleet_targets(fleet)[0]
+        description = fleet.apply_fault(
+            FaultEvent(time=0.0, kind="straggler_replica", target=0,
+                       duration=5.0, factor=4.0))
+        assert label in description
+        assert fleet.faults == {"straggler_replica": 1}
+        assert replica.server.slowdown == 4.0
+        env.run(until=env.now + 6.0)
+        assert replica.server.slowdown == 1.0
 
 
 def test_fleet_straggler_device_restores_overhead():
-    env = Environment()
-    fleet = small_fleet(env)
-    groups = [g for g in fleet.device.groups if g.clients]
-    before = [g.overhead_factor for g in groups]
-    fleet.apply_fault(FaultEvent(time=0.0, kind="straggler_device",
-                                 target=0, duration=5.0, factor=2.0))
-    assert any(g.overhead_factor != b for g, b in zip(groups, before))
-    env.run(until=env.now + 6.0)
-    assert [g.overhead_factor for g in groups] == before
+    for kind in FLEET_KINDS:
+        env = Environment()
+        fleet = small_fleet(env, kind=kind)
+        groups = [g for g in fleet.device.groups if g.clients]
+        before = [g.overhead_factor for g in groups]
+        fleet.apply_fault(FaultEvent(time=0.0, kind="straggler_device",
+                                     target=0, duration=5.0, factor=2.0))
+        assert any(g.overhead_factor != b for g, b in zip(groups, before))
+        # Device-scoped: the fault counts in every group's stats.
+        assert fleet.faults == {"straggler_device": 1}
+        assert all(g.stats.faults == {"straggler_device": 1}
+                   for g in fleet.groups.values())
+        env.run(until=env.now + 6.0)
+        assert [g.overhead_factor for g in groups] == before
+
+
+def test_fleet_overlapping_stragglers_restore_in_order():
+    """Overlapping stragglers on one target: each fault's end lifts only
+    its own share, and the last end restores the pre-fault value."""
+    for kind in FLEET_KINDS:
+        env = Environment()
+        fleet = small_fleet(env, mode="mps", kind=kind)
+        server = fleet_targets(fleet)[0][1].server
+        dgroup = next(g for g in fleet.device.groups if g.clients)
+        base = dgroup.overhead_factor
+        for t, factor in ((0.0, 2.0), (5.0, 4.0)):
+            env.run(until=t)
+            for fault in ("straggler_device", "straggler_replica"):
+                fleet.apply_fault(FaultEvent(time=t, kind=fault, target=0,
+                                             duration=10.0, factor=factor))
+        env.run(until=7.0)  # both active
+        assert dgroup.overhead_factor == base / 2.0 / 4.0
+        assert server.slowdown == 4.0
+        env.run(until=12.0)  # the first has ended, the second has not
+        assert dgroup.overhead_factor == base / 4.0
+        assert server.slowdown == 4.0
+        env.run(until=16.0)  # both ended
+        assert dgroup.overhead_factor == base
+        assert server.slowdown == 1.0
 
 
 def test_fleet_stall_and_launch_failure_descriptions():
-    env = Environment()
-    fleet = small_fleet(env)
-    d1 = fleet.apply_fault(FaultEvent(time=0.0, kind="reconfig_stall",
-                                      target=2, duration=3.0))
-    assert "stall srv2" in d1
-    d2 = fleet.apply_fault(FaultEvent(time=0.0, kind="launch_failure",
-                                      target=3))
-    assert "srv3" in d2
-    assert fleet.replicas[3].server.fail_next_launches == 1
-    request = fleet.submit(n_tokens=4)
-    env.run()
-    assert request.outcome == "ok"
-    assert fleet.stats.faults == {"reconfig_stall": 1, "launch_failure": 1}
+    labels = {"static": ("srv2", "srv3"), "autoscaled": ("cold-r0", "cold-r1")}
+    for kind in FLEET_KINDS:
+        stall_label, launch_label = labels[kind]
+        env = Environment()
+        fleet = small_fleet(env, kind=kind)
+        targets = fleet_targets(fleet)
+        d1 = fleet.apply_fault(FaultEvent(time=0.0, kind="reconfig_stall",
+                                          target=2, duration=3.0))
+        assert f"stall {stall_label}" in d1
+        d2 = fleet.apply_fault(FaultEvent(time=0.0, kind="launch_failure",
+                                          target=3))
+        assert launch_label in d2
+        assert targets[3][1].server.fail_next_launches == 1
+        request = fleet_submit(fleet, 4)
+        env.run()
+        assert request.outcome == "ok"
+        expected = {"reconfig_stall": 1, "launch_failure": 1}
+        assert targets[2][0].stats.faults == expected
+        assert fleet.faults == expected
 
 
 def test_fleet_ecc_confined_to_mig_instance():
@@ -386,13 +458,18 @@ def test_fleet_ecc_confined_to_mig_instance():
 
 
 def test_fleet_ecc_kills_everything_under_flat_mps():
-    env = Environment()
-    fleet = small_fleet(env, mode="mps")
-    requests = [fleet.submit(n_tokens=100) for _ in range(4)]
-    env.run(until=env.now + 0.1)
-    fleet.apply_fault(FaultEvent(time=0.0, kind="ecc", target=0))
-    _domain, killed, resident = fleet.ecc_log[0]
-    assert resident > 0 and killed == resident  # whole shared context
-    env.run()
-    assert all(r.outcome == "ok" for r in requests)
-    assert fleet.stats.lost == 0
+    for kind in FLEET_KINDS:
+        env = Environment()
+        fleet = small_fleet(env, mode="mps", kind=kind)
+        requests = [fleet_submit(fleet, 100) for _ in range(4)]
+        env.run(until=env.now + 0.1)
+        fleet.apply_fault(FaultEvent(time=0.0, kind="ecc", target=0))
+        assert len(fleet.ecc_log) == 1
+        _domain, killed, resident = fleet.ecc_log[0]
+        assert resident > 0 and killed == resident  # whole shared context
+        assert fleet.faults == {"ecc": 1}
+        assert all(g.stats.faults == {"ecc": 1}
+                   for g in fleet.groups.values())
+        env.run()
+        assert all(r.outcome == "ok" for r in requests)
+        assert fleet_lost(fleet) == 0
